@@ -6,7 +6,7 @@ import repro.exp.OverheadsExperiment
 class T9_OverheadsBench extends BenchSpec {
 
   test("T9: overheads are in the paper's millisecond regime") {
-    val r = OverheadsExperiment.run(BenchHarness.sf100, Some(spark))
+    val r = OverheadsExperiment.run(BenchHarness.sf100, spark)
     BenchHarness.report("T9_Overheads", OverheadsExperiment.report(r))
 
     // PPM fitting is sub-millisecond per query (paper ~0.3 ms).

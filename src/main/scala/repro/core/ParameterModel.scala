@@ -1,7 +1,7 @@
 package repro.core
 
-import java.io.{FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
+import repro.JavaSerialization
 import repro.ml.RandomForest
 
 /** The paper's parameter model `g: query characteristics -> {PPM scalars}`
@@ -29,11 +29,7 @@ final case class ParameterModel(
   def predictCurve(features: Array[Double], grid: Seq[Int]): IndexedSeq[(Int, Double)] =
     predictPpm(features).curve(grid)
 
-  def save(path: Path): Unit = {
-    if (path.getParent != null) Files.createDirectories(path.getParent)
-    val oos = new ObjectOutputStream(new FileOutputStream(path.toFile))
-    try oos.writeObject(this) finally oos.close()
-  }
+  def save(path: Path): Unit = JavaSerialization.save(this, path)
 }
 
 object ParameterModel {
@@ -60,8 +56,5 @@ object ParameterModel {
     ParameterModel(kind.name, RandomForest.fit(x, y, featureNames, rfParams))
   }
 
-  def load(path: Path): ParameterModel = {
-    val ois = new ObjectInputStream(new FileInputStream(path.toFile))
-    try ois.readObject().asInstanceOf[ParameterModel] finally ois.close()
-  }
+  def load(path: Path): ParameterModel = JavaSerialization.load[ParameterModel](path)
 }

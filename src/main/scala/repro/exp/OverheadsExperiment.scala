@@ -32,11 +32,11 @@ object OverheadsExperiment {
     (System.nanoTime() - t0) / 1e6 / reps
   }
 
-  /** Measure overheads on a built workload. If `spark` is given, also runs
-    * one query through the installed [[AutoExecutorRule]] and reports the
-    * rule's own in-optimizer timings from the [[DecisionLog]].
+  /** Measure overheads on a built workload, including one query run through
+    * the installed [[AutoExecutorRule]] whose own in-optimizer timings come
+    * from the [[DecisionLog]].
     */
-  def run(workload: Workload, spark: Option[SparkSession] = None): Result = {
+  def run(workload: Workload, spark: SparkSession): Result = {
     val curves = workload.queries.map(q => SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
     val examples = workload.queries.map { q =>
       ParameterModel.TrainingExample(q.query.id, q.features, SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
@@ -63,26 +63,20 @@ object OverheadsExperiment {
     AutoExecutorRule.invalidateCache()
     val (_, loadMs) = AutoExecutorRule.cachedModel(tmp)
 
-    // Plan featurization needs a live plan; measured through the rule when a
-    // session is available, else approximated on the stored features' query.
-    val (featMs, ruleFeat, ruleScore) = spark match {
-      case Some(s) =>
-        val q    = workload.queries.head.query
-        val plan = WorkloadRunner.withProfilingConfs(s)(s.sql(q.sql).queryExecution.optimizedPlan)
-        val fMs  = timeMs(20) { PlanFeaturizer.featurize(plan) }
-        AutoExecutorRule.install(s)
-        DecisionLog.clear()
-        s.conf.set(AutoExecutorRule.EnabledKey, "true")
-        s.conf.set(AutoExecutorRule.ModelPathKey, tmp.toString)
-        s.conf.set(AutoExecutorRule.StrategyKey, "slowdown:1.05")
-        try s.sql(q.sql).queryExecution.optimizedPlan
-        finally s.conf.set(AutoExecutorRule.EnabledKey, "false")
-        val d = DecisionLog.last
-        (fMs, d.map(_.featurizationMs), d.map(_.scoringMs))
-      case None => (Double.NaN, None, None)
-    }
+    // Plan featurization on a live plan, then once more inside the rule.
+    val q      = workload.queries.head.query
+    val plan   = WorkloadRunner.withProfilingConfs(spark)(spark.sql(q.sql).queryExecution.optimizedPlan)
+    val featMs = timeMs(20) { PlanFeaturizer.featurize(plan) }
+    AutoExecutorRule.install(spark)
+    DecisionLog.clear()
+    spark.conf.set(AutoExecutorRule.EnabledKey, "true")
+    spark.conf.set(AutoExecutorRule.ModelPathKey, tmp.toString)
+    spark.conf.set(AutoExecutorRule.StrategyKey, "slowdown:1.05")
+    try spark.sql(q.sql).queryExecution.optimizedPlan
+    finally spark.conf.set(AutoExecutorRule.EnabledKey, "false")
+    val d = DecisionLog.last
 
-    Result(fitMs, trainMs, sizes, scoreMs, loadMs, featMs, ruleFeat, ruleScore)
+    Result(fitMs, trainMs, sizes, scoreMs, loadMs, featMs, d.map(_.featurizationMs), d.map(_.scoringMs))
   }
 
   def report(r: Result): String = TextTable.render(

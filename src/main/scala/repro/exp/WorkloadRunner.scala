@@ -69,10 +69,8 @@ object WorkloadRunner {
       sf: Double,
       sfLabel: String,
       queries: IndexedSeq[Query] = Queries.all,
-      grid: IndexedSeq[Int] = Grid,
       dataDir: Path = TpcdsLite.defaultBaseDir,
       cacheDir: Path = TpcdsLite.defaultBaseDir.resolve("profiles"),
-      fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(),
       reps: Int = 5,
       verbose: Boolean = true,
   ): Workload = {
@@ -88,8 +86,8 @@ object WorkloadRunner {
         query = q,
         profile = profile,
         features = features,
-        actual = ClusterSimulator.actualCurve(profile, grid, fidelity = fidelity, reps = reps),
-        sparklens = SparklensEstimator.curve(profile, grid),
+        actual = ClusterSimulator.actualCurve(profile, Grid, reps = reps),
+        sparklens = SparklensEstimator.curve(profile, Grid),
       )
     }
     Workload(sfLabel, sf, data)

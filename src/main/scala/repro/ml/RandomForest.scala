@@ -1,19 +1,15 @@
 package repro.ml
 
-import java.io.{ByteArrayOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
-import java.nio.file.Path
 import scala.util.Random
+import repro.JavaSerialization
 
 /** Bagged multi-output random-forest regressor.
   *
   * From-scratch substitute for scikit-learn's `RandomForestRegressor`
   * (paper §3.4 / §5.6): 100 estimators by default, bootstrap sampling,
   * all-features-per-split (sklearn's regression default), multi-output
-  * leaves. Serialization via Java object streams stands in for the paper's
-  * ONNX export — the property that matters (§4.3/§4.4) is a compact on-disk
-  * artifact that loads once into the optimizer process and scores in-JVM in
-  * well under a millisecond, which [[RandomForest.save]]/[[RandomForest.load]]
-  * provide.
+  * leaves. A forest is saved inside its [[repro.core.ParameterModel]] and
+  * scores in-JVM in well under a millisecond (§4.3/§4.4).
   */
 final case class RandomForest(
     trees: IndexedSeq[RegressionTree.Node],
@@ -42,30 +38,16 @@ final case class RandomForest(
   /** Serialized size in bytes — reported in the overheads experiment (T9)
     * against the paper's 0.8–1.1 MB pickle/ONNX sizes.
     */
-  def serializedSize: Long = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(this); oos.close()
-    bos.size().toLong
-  }
-
-  def save(path: Path): Unit = {
-    val oos = new ObjectOutputStream(new FileOutputStream(path.toFile))
-    try oos.writeObject(this) finally oos.close()
-  }
+  def serializedSize: Long = JavaSerialization.size(this)
 }
 
 object RandomForest {
 
-  /** Hyper-parameters; defaults mirror sklearn's `RandomForestRegressor`
-    * defaults (100 trees, bootstrap, all features considered per split).
+  /** Forest size and seed; every tree is a fully grown [[RegressionTree]]
+    * on a bootstrap sample, as in sklearn's `RandomForestRegressor`
+    * defaults (100 trees).
     */
-  final case class Params(
-      nTrees: Int = 100,
-      tree: RegressionTree.Params = RegressionTree.Params(),
-      bootstrap: Boolean = true,
-      seed: Long = 42L,
-  )
+  final case class Params(nTrees: Int = 100, seed: Long = 42L)
 
   /** Train on `x(i) -> y(i)` with deterministic seeding so CV folds and
     * tests are reproducible.
@@ -81,19 +63,10 @@ object RandomForest {
     val rng = new Random(params.seed)
     val trees = (0 until params.nTrees).map { _ =>
       val treeRng = new Random(rng.nextLong())
-      val (bx, by) =
-        if (params.bootstrap) {
-          val idx = Array.fill(x.length)(treeRng.nextInt(x.length))
-          (idx.toIndexedSeq.map(x), idx.toIndexedSeq.map(y))
-        } else (x, y)
-      RegressionTree.fit(bx, by, params.tree, treeRng)
+      val idx     = Array.fill(x.length)(treeRng.nextInt(x.length)).toIndexedSeq
+      RegressionTree.fit(idx.map(x), idx.map(y))
     }
     RandomForest(trees, featureNames, y.head.length)
-  }
-
-  def load(path: Path): RandomForest = {
-    val ois = new ObjectInputStream(new FileInputStream(path.toFile))
-    try ois.readObject().asInstanceOf[RandomForest] finally ois.close()
   }
 
   /** Per-feature permutation importance (paper §5.7, [17]).

@@ -1,7 +1,5 @@
 package repro.ml
 
-import scala.util.Random
-
 /** Multi-output CART regression tree.
   *
   * This is the per-tree building block of [[RandomForest]], our from-scratch
@@ -34,22 +32,12 @@ object RegressionTree {
   final case class Leaf(value: Array[Double]) extends Node
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
-  /** Hyper-parameters; defaults follow sklearn's `RandomForestRegressor`
-    * defaults (unbounded depth, split down to 2 samples, 1-sample leaves).
-    * `maxFeatures` is the number of candidate features examined per split
-    * (sklearn regression default: all features).
+  /** Fit a fully grown tree on `rows(i) = (features, targets)`, as
+    * sklearn's `RandomForestRegressor` defaults do: every feature is a split
+    * candidate, and nodes split until they are pure or hold a single sample
+    * (bootstrap resampling is the forest's job).
     */
-  final case class Params(
-      maxDepth: Int = Int.MaxValue,
-      minSamplesSplit: Int = 2,
-      minSamplesLeaf: Int = 1,
-      maxFeatures: Int = Int.MaxValue,
-  )
-
-  /** Fit a tree on `rows(i) = (features, targets)` using `rng` only for the
-    * per-split feature subsample (bootstrap resampling is the forest's job).
-    */
-  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params, rng: Random): Node = {
+  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]): Node = {
     require(x.nonEmpty && x.length == y.length, s"bad input sizes: ${x.length} vs ${y.length}")
     val nFeatures = x.head.length
     val nOutputs  = y.head.length
@@ -80,15 +68,10 @@ object RegressionTree {
       s
     }
 
-    def build(idx: Array[Int], depth: Int): Node = {
-      if (depth >= params.maxDepth || idx.length < params.minSamplesSplit) return Leaf(meanOf(idx))
+    // A single-sample node has zero SSE, so it too ends as a leaf here.
+    def build(idx: Array[Int]): Node = {
       val parentSse = sse(idx)
       if (parentSse <= 1e-12) return Leaf(meanOf(idx))
-
-      val nCand = math.min(params.maxFeatures, nFeatures)
-      val candidates =
-        if (nCand >= nFeatures) (0 until nFeatures).toArray
-        else rng.shuffle((0 until nFeatures).toList).take(nCand).toArray
 
       var bestGain = 0.0
       var bestFeature = -1
@@ -96,7 +79,7 @@ object RegressionTree {
       var bestLeft: Array[Int] = null
       var bestRight: Array[Int] = null
 
-      for (f <- candidates) {
+      for (f <- 0 until nFeatures) {
         val sorted = idx.sortBy(i => x(i)(f))
         // Candidate thresholds: midpoints between consecutive distinct values.
         var i = 0
@@ -106,12 +89,10 @@ object RegressionTree {
             val thr   = (v0 + v1) / 2.0
             val left  = sorted.take(i + 1)
             val right = sorted.drop(i + 1)
-            if (left.length >= params.minSamplesLeaf && right.length >= params.minSamplesLeaf) {
-              val gain = parentSse - sse(left) - sse(right)
-              if (gain > bestGain + 1e-15) {
-                bestGain = gain; bestFeature = f; bestThreshold = thr
-                bestLeft = left; bestRight = right
-              }
+            val gain  = parentSse - sse(left) - sse(right)
+            if (gain > bestGain + 1e-15) {
+              bestGain = gain; bestFeature = f; bestThreshold = thr
+              bestLeft = left; bestRight = right
             }
           }
           i += 1
@@ -119,10 +100,9 @@ object RegressionTree {
       }
 
       if (bestFeature < 0) Leaf(meanOf(idx))
-      else Split(bestFeature, bestThreshold, build(bestLeft, depth + 1), build(bestRight, depth + 1))
+      else Split(bestFeature, bestThreshold, build(bestLeft), build(bestRight))
     }
 
-    // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
-    build(x.indices.toArray, depth = 1)
+    build(x.indices.toArray)
   }
 }

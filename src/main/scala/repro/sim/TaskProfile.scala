@@ -1,10 +1,10 @@
 package repro.sim
 
-import java.io.{FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
 import scala.collection.mutable
 import org.apache.spark.scheduler._
 import org.apache.spark.sql.SparkSession
+import repro.JavaSerialization
 
 /** Execution profile of one stage of a query: the raw material both the
   * cluster simulator and the Sparklens estimator scale to other executor
@@ -21,6 +21,7 @@ import org.apache.spark.sql.SparkSession
   * @param shuffleReadBytes total shuffle bytes fetched by the stage
   * @param inputBytes       total input (file scan) bytes read by the stage
   */
+@SerialVersionUID(-4178949226758914264L) // pinned: cached profiles carry it
 final case class StageProfile(
     stageId: Int,
     jobIndex: Int,
@@ -44,6 +45,7 @@ final case class StageProfile(
   *                  planning, result collection, job submission gaps) — the
   *                  serial floor no executor count can remove
   */
+@SerialVersionUID(8132545010992948102L) // pinned: cached profiles carry it
 final case class TaskProfile(
     queryId: String,
     stages: IndexedSeq[StageProfile],
@@ -52,18 +54,11 @@ final case class TaskProfile(
 ) extends Serializable {
   def totalTaskMs: Double = stages.map(_.totalTaskMs).sum
 
-  def save(path: Path): Unit = {
-    Files.createDirectories(path.getParent)
-    val oos = new ObjectOutputStream(new FileOutputStream(path.toFile))
-    try oos.writeObject(this) finally oos.close()
-  }
+  def save(path: Path): Unit = JavaSerialization.save(this, path)
 }
 
 object TaskProfile {
-  def load(path: Path): TaskProfile = {
-    val ois = new ObjectInputStream(new FileInputStream(path.toFile))
-    try ois.readObject().asInstanceOf[TaskProfile] finally ois.close()
-  }
+  def load(path: Path): TaskProfile = JavaSerialization.load[TaskProfile](path)
 }
 
 /** SparkListener that records per-task durations, stage lineage and stage

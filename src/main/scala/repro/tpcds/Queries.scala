@@ -26,7 +26,6 @@ object Queries {
 
   private val categories = Vector("Books", "Home", "Electronics", "Jewelry")
   private val classes    = Vector("accessories", "classical", "dresses", "fiction")
-  private val states     = Vector("CA", "TX", "NY", "WA")
   private val flags      = Vector("Y", "N", "Y", "N")
 
   /** One template: id plus variant-indexed SQL and the tables it reads. */

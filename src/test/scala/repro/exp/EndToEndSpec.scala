@@ -102,7 +102,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("overheads experiment reports sub-second scoring") {
-    val r = OverheadsExperiment.run(workload, Some(spark))
+    val r = OverheadsExperiment.run(workload, spark)
     assert(r.scoreMs.values.forall(ms => ms > 0.0 && ms < 1000.0))
     assert(r.modelSizeBytes.values.forall(_ > 10000L))
     assert(r.ruleFeaturizationMs.nonEmpty && r.ruleScoringMs.nonEmpty)

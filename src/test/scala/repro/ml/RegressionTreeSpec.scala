@@ -4,11 +4,9 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 class RegressionTreeSpec extends AnyFunSuite {
-  private def rng = new Random(1)
 
-  private def fitOn(x: Seq[Array[Double]], y: Seq[Array[Double]],
-                    params: RegressionTree.Params = RegressionTree.Params()): RegressionTree.Node =
-    RegressionTree.fit(x.toIndexedSeq, y.toIndexedSeq, params, rng)
+  private def fitOn(x: Seq[Array[Double]], y: Seq[Array[Double]]): RegressionTree.Node =
+    RegressionTree.fit(x.toIndexedSeq, y.toIndexedSeq)
 
   test("pure leaf when all targets identical") {
     val tree = fitOn(Seq(Array(1.0), Array(2.0), Array(3.0)), Seq.fill(3)(Array(5.0)))
@@ -29,29 +27,6 @@ class RegressionTreeSpec extends AnyFunSuite {
     val y = (1 to 16).map(i => Array(i * 2.0))
     val tree = fitOn(x, y)
     x.zip(y).foreach { case (xi, yi) => assert(tree.predict(xi).sameElements(yi)) }
-  }
-
-  test("maxDepth = 1 forces a single leaf predicting the mean") {
-    val x = (1 to 4).map(i => Array(i.toDouble))
-    val y = (1 to 4).map(i => Array(i.toDouble))
-    val tree = fitOn(x, y, RegressionTree.Params(maxDepth = 1))
-    assert(tree.isInstanceOf[RegressionTree.Leaf])
-    assert(math.abs(tree.predict(Array(0.0))(0) - 2.5) < 1e-12)
-  }
-
-  test("minSamplesLeaf is honoured") {
-    val x = (1 to 6).map(i => Array(i.toDouble))
-    val y = (1 to 6).map(i => Array(if (i <= 5) 0.0 else 100.0))
-    // A leaf of 1 sample would isolate the outlier; minSamplesLeaf=2 forbids it.
-    val tree = fitOn(x, y, RegressionTree.Params(minSamplesLeaf = 2))
-    def leaves(n: RegressionTree.Node): Seq[RegressionTree.Leaf] = n match {
-      case l: RegressionTree.Leaf             => Seq(l)
-      case RegressionTree.Split(_, _, l, r)   => leaves(l) ++ leaves(r)
-    }
-    assert(leaves(tree).forall(_ => true)) // structure is valid
-    // Best split under the constraint puts >= 2 samples in each side, so no
-    // leaf can predict exactly 100.0 (the singleton).
-    assert(!leaves(tree).exists(_.value(0) == 100.0))
   }
 
   test("multi-output: predicts joint means and splits on joint impurity") {
@@ -91,13 +66,5 @@ class RegressionTreeSpec extends AnyFunSuite {
 
   test("empty training set is rejected") {
     intercept[IllegalArgumentException] { fitOn(Seq.empty, Seq.empty) }
-  }
-
-  test("maxFeatures = 1 still fits (feature subsampling)") {
-    val x = (1 to 20).map(i => Array(i.toDouble, (20 - i).toDouble))
-    val y = (1 to 20).map(i => Array(i.toDouble))
-    val tree = RegressionTree.fit(x, y, RegressionTree.Params(maxFeatures = 1), new Random(5))
-    // Both features are informative (x2 = 20 - x1), so any subsample works.
-    assert(tree.predict(Array(1.0, 19.0))(0) < tree.predict(Array(20.0, 0.0))(0))
   }
 }

@@ -1,5 +1,6 @@
 package repro.sim
 
+import java.io.ObjectStreamClass
 import java.nio.file.Files
 import repro.SparkSpec
 
@@ -51,6 +52,13 @@ class ProfileCollectorSpec extends SparkSpec {
     p.save(path)
     val loaded = TaskProfile.load(path)
     assert(loaded == p)
+  }
+
+  test("profile classes keep the serialization IDs of cached profiles") {
+    // Cached `.bin` profiles were written with these IDs; any other ID makes
+    // every cached profile fail to load.
+    assert(ObjectStreamClass.lookup(classOf[TaskProfile]).getSerialVersionUID == 8132545010992948102L)
+    assert(ObjectStreamClass.lookup(classOf[StageProfile]).getSerialVersionUID == -4178949226758914264L)
   }
 
   test("detaching the collector stops collection") {
